@@ -23,6 +23,8 @@ final case class Hierarchical(theta: Int) extends BucketChoice // §5.3 final de
   * @param vgcQueue  local-search queue capacity (paper §4.2): 0 disables VGC,
   *                  128 is the paper's default, Int.MaxValue emulates PKC's
   *                  unbounded thread-local buffers.
+  * @param nParts    partition count of the graph `ParallelKCore.runDF` builds;
+  *                  a run over a prepared `GraphHandle` uses the handle's.
   */
 final case class KCoreConfig(
     name: String,
@@ -31,8 +33,7 @@ final case class KCoreConfig(
     sampling: Option[SamplingParams] = None,
     buckets: BucketChoice = OneBucket,
     nParts: Int = 16,
-    seed: Long = 42L,
-    checkpointEvery: Int = 16) extends Serializable {
+    seed: Long = 42L) extends Serializable {
   def withoutSampling: KCoreConfig = copy(sampling = None)
 }
 

@@ -9,7 +9,7 @@ import repro.graph.{GraphOps, LocalGraph}
 /** A prepared (distributed, cached) graph that several configurations can
   * share — benches run 12 algorithms per graph over one CSR build.
   */
-final case class GraphHandle(base: RDD[PartitionGraph], n: Int, maxDeg: Int, nParts: Int) {
+final case class GraphHandle(base: RDD[PartitionGraph], n: Int, maxDeg: Int) {
   def unpersist(): Unit = base.unpersist(false)
 }
 
@@ -24,7 +24,7 @@ object ParallelKCore {
       while (i < g.nOwned) { val d = g.degreeLocal(i); if (d > mx) mx = d; i += 1 }
       mx
     }.fold(0)(math.max)
-    GraphHandle(base, n, maxDeg, nParts)
+    GraphHandle(base, n, maxDeg)
   }
 
   /** Driver-side split of an already-canonical LocalGraph (used by tests and
@@ -37,12 +37,14 @@ object ParallelKCore {
     val base = spark.sparkContext
       .parallelize(parts.toIndexedSeq, nParts)
       .persist(StorageLevel.MEMORY_ONLY)
-    GraphHandle(base, g.n, g.maxDegree, nParts)
+    GraphHandle(base, g.n, g.maxDegree)
   }
 
-  /** Run one configuration; returns per-vertex coreness plus run metrics. */
+  /** Run one configuration; returns per-vertex coreness plus run metrics.
+    * The partition count is the handle's; `cfg.nParts` is not consulted.
+    */
   def run(handle: GraphHandle, cfg: KCoreConfig): (Array[Int], RunMetrics) =
-    PeelEngine.run(handle.base, handle.n, handle.maxDeg, cfg.copy(nParts = handle.nParts))
+    PeelEngine.run(handle.base, handle.n, handle.maxDeg, cfg)
 
   /** DataFrame-in / DataFrame-out surface: takes a (possibly raw) edge list,
     * canonicalizes it through Catalyst, runs the decomposition, and returns

@@ -1,17 +1,26 @@
 package repro.engine
 
-/** Broadcast input of one subround. `decs`/`hits` are indexed by destination
-  * partition; each partition reads only its own inbox but every partition
-  * applies `peeledDelta` and the sampler-directory deltas (the directory is
-  * replicated so *senders* can decide dec-vs-hit, mirroring the shared-memory
-  * read of σ[u]).
+/** A decrement message: `count` decrements of `target`'s degree, packed into
+  * one `Long`. Online peeling sends `(target, 1)` per edge; Offline peeling
+  * sends one histogram-combined `(target, count)` per target.
+  */
+object DecMsg {
+  @inline def pack(target: Int, count: Int): Long = (target.toLong << 32) | (count & 0xffffffffL)
+  @inline def target(m: Long): Int = (m >>> 32).toInt
+  @inline def count(m: Long): Int = m.toInt
+}
+
+/** Broadcast input of one subround. `decs` (packed `DecMsg`s) and `hits` are
+  * indexed by destination partition; each partition reads only its own inbox
+  * but every partition applies `peeledDelta` and the sampler-directory deltas
+  * (the directory is replicated so *senders* can decide dec-vs-hit, mirroring
+  * the shared-memory read of σ[u]).
   */
 final case class SubroundIn(
     k: Int,
     roundStart: Boolean,
     subroundIndex: Int,
-    decs: Array[Array[Int]],
-    decCounts: Array[Array[Int]], // aligned with decs in Offline mode, else null
+    decs: Array[Array[Long]],
     hits: Array[Array[Int]],
     peeledDelta: Array[Int],
     dirRemove: Array[Int],
@@ -21,7 +30,7 @@ final case class SubroundIn(
 object SubroundIn {
   def initial(nParts: Int, dirAdd: Array[Int], dirAddRate: Array[Double]): SubroundIn =
     SubroundIn(0, roundStart = true, 0,
-      Array.fill(nParts)(Array.emptyIntArray), null,
+      Array.fill(nParts)(Array.emptyLongArray),
       Array.fill(nParts)(Array.emptyIntArray),
       Array.emptyIntArray, Array.emptyIntArray, dirAdd, dirAddRate)
 }
@@ -45,13 +54,25 @@ final case class SubCounters(
     inboundApplied: Long,
     maxInboundPerVertex: Int,
     maxChainOps: Long, // ops of the longest single local search (a serial chain)
-    frontierProcessed: Int) extends Serializable
+    frontierProcessed: Int) extends Serializable {
+
+  /** Sums the sums and takes the max of the maxima. */
+  def combine(o: SubCounters): SubCounters = SubCounters(
+    work + o.work, edgeTraversals + o.edgeTraversals, decMsgs + o.decMsgs,
+    hitMsgs + o.hitMsgs, localDecs + o.localDecs, structOps + o.structOps,
+    histogramOps + o.histogramOps, inboundApplied + o.inboundApplied,
+    math.max(maxInboundPerVertex, o.maxInboundPerVertex),
+    math.max(maxChainOps, o.maxChainOps), frontierProcessed + o.frontierProcessed)
+}
+
+object SubCounters {
+  val zero: SubCounters = SubCounters(0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0, 0L, 0)
+}
 
 /** Output of one partition for one subround. */
 final case class SubroundOut(
     pid: Int,
-    outDecs: Array[Array[Int]],
-    outDecCounts: Array[Array[Int]], // null unless Offline
+    outDecs: Array[Array[Long]],
     outHits: Array[Array[Int]],
     newlyPeeled: Array[Int],
     dirRemove: Array[Int],

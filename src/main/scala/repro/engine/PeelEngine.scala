@@ -3,7 +3,6 @@ package repro.engine
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import repro.core.KCoreConfig
-import scala.collection.mutable.ArrayBuilder
 
 /** Raised when a sampled vertex's exact recount shows it missed its peeling
   * round (paper §4.1.4) — the caller restarts with sampling disabled.
@@ -59,6 +58,11 @@ final case class RunMetrics(
   */
 object PeelEngine {
 
+  /** Every this many subrounds the state is locally checkpointed, bounding
+    * the lineage of the per-subround RDD chain.
+    */
+  private val CheckpointEvery = 16
+
   /** Run k-core under `cfg` over a cached base graph. Restarts without
     * sampling if a recount detects a missed peel (never observed with the
     * default μ — exercised in tests by forcing a tiny μ).
@@ -83,7 +87,7 @@ object PeelEngine {
   private def runOnce(base: RDD[PartitionGraph], n: Int, maxDeg: Int,
                       cfg: KCoreConfig): (Array[Int], RunMetrics) = {
     val sc = base.sparkContext
-    val nParts = cfg.nParts
+    val nParts = base.getNumPartitions
     val t0 = System.nanoTime()
 
     // --- init ---------------------------------------------------------------
@@ -98,15 +102,13 @@ object PeelEngine {
       dirInit.iterator.flatMap(_._1).toArray,
       dirInit.iterator.flatMap(_._2).toArray)
 
-    // --- metrics accumulators ----------------------------------------------
+    // --- metrics: one counter total plus per-subround maxima -----------------
     var k = 0
     var sub = 0
     var rounds = 0
     var rhoPrime = 0
-    var work = 0L; var edges = 0L; var structOps = 0L; var histOps = 0L
-    var decMsgs = 0L; var hitMsgs = 0L; var localDecs = 0L; var inbound = 0L
+    var total = SubCounters.zero
     var spanOps = 0L
-    var maxContention = 0
     var maxSampled = 0
 
     var done = false
@@ -121,11 +123,9 @@ object PeelEngine {
           (st, out)
         }
       }, preservesPartitioning = true)
-      if (cfg.checkpointEvery > 0 && sub % cfg.checkpointEvery == cfg.checkpointEvery - 1)
-        pair.localCheckpoint()
-      else
-        pair.persist(StorageLevel.MEMORY_ONLY)
-      val outs = pair.map(_._2).collect().sortBy(_.pid)
+      if (sub % CheckpointEvery == CheckpointEvery - 1) pair.localCheckpoint()
+      else pair.persist(StorageLevel.MEMORY_ONLY)
+      val outs = pair.map(_._2).collect().sortBy(_.pid).toSeq
       bc.unpersist(false)
       prevCached.unpersist(false)
       prevCached = pair
@@ -134,62 +134,33 @@ object PeelEngine {
       sub += 1
 
       // --- aggregate --------------------------------------------------------
-      var peeledTotal = 0
-      var frontierTotal = 0
-      var pendingTotal = 0
-      var msgsTotal = 0L
-      var processedThisSub = 0
-      var maxWork = 0L
-      var sampledNow = 0
-      var anyError = false
-      outs.foreach { o =>
-        peeledTotal += o.peeledOwnedTotal
-        frontierTotal += o.localFrontierSize
-        pendingTotal += o.pendingRecounts
-        msgsTotal += o.outDecs.map(_.length.toLong).sum + o.outHits.map(_.length.toLong).sum
-        processedThisSub += o.counters.frontierProcessed
-        sampledNow += o.sampledNow
-        anyError ||= o.error
-        val c = o.counters
-        work += c.work; edges += c.edgeTraversals; structOps += c.structOps
-        histOps += c.histogramOps; decMsgs += c.decMsgs; hitMsgs += c.hitMsgs
-        localDecs += c.localDecs; inbound += c.inboundApplied
-        // Subround critical path: the longest serial chain (a single local
-        // search — unbounded for PKC, ≤128 for VGC) plus the serialized
-        // contention at the hottest vertex (atomic updates to one location
-        // serialize; each costs ~ContentionWeight cache transfers).
-        val span = c.maxChainOps + CostWeights.Contention.toLong * c.maxInboundPerVertex
-        if (span > maxWork) maxWork = span
-        if (c.maxInboundPerVertex > maxContention) maxContention = c.maxInboundPerVertex
-      }
-      spanOps += maxWork
-      if (processedThisSub > 0) rhoPrime += 1
-      if (sampledNow > maxSampled) maxSampled = sampledNow
-      if (anyError && cfg.sampling.isDefined)
+      val subTotal = outs.iterator.map(_.counters).reduce(_ combine _)
+      total = total combine subTotal
+      // Subround critical path: the longest serial chain (a single local
+      // search — unbounded for PKC, ≤128 for VGC) plus the serialized
+      // contention at the hottest vertex (atomic updates to one location
+      // serialize; each costs ~ContentionWeight cache transfers).
+      spanOps += outs.iterator.map { o =>
+        o.counters.maxChainOps + CostWeights.Contention.toLong * o.counters.maxInboundPerVertex
+      }.max
+      if (subTotal.frontierProcessed > 0) rhoPrime += 1
+      maxSampled = math.max(maxSampled, outs.iterator.map(_.sampledNow).sum)
+      if (outs.exists(_.error) && cfg.sampling.isDefined)
         throw new SamplingError(s"missed peel detected at round $k subround $sub")
 
       // --- route ------------------------------------------------------------
-      val peeledDelta = concat(outs.map(_.newlyPeeled))
-      val dirRemove = concat(outs.map(_.dirRemove))
-      val dirAdd = concat(outs.map(_.dirAdd))
-      val dirAddRate = concatD(outs.map(_.dirAddRate))
-      val offline = outs.head.outDecCounts != null
-
-      if (frontierTotal == 0 && msgsTotal == 0 && pendingTotal == 0) {
-        if (peeledTotal >= n) done = true
-        else {
-          k += 1
-          in = SubroundIn(k, roundStart = true, sub,
-            Array.fill(nParts)(Array.emptyIntArray), null,
-            Array.fill(nParts)(Array.emptyIntArray),
-            peeledDelta, dirRemove, dirAdd, dirAddRate)
-        }
-      } else {
-        val decs = Array.tabulate(nParts)(p => concat(outs.map(_.outDecs(p))))
-        val cnts = if (offline) Array.tabulate(nParts)(p => concat(outs.map(_.outDecCounts(p)))) else null
-        val hits = Array.tabulate(nParts)(p => concat(outs.map(_.outHits(p))))
-        in = SubroundIn(k, roundStart = false, sub, decs, cnts, hits,
-          peeledDelta, dirRemove, dirAdd, dirAddRate)
+      val decs = Array.tabulate(nParts)(p => Array.concat(outs.map(_.outDecs(p)): _*))
+      val hits = Array.tabulate(nParts)(p => Array.concat(outs.map(_.outHits(p)): _*))
+      val roundEnds = outs.forall(o => o.localFrontierSize == 0 && o.pendingRecounts == 0) &&
+        decs.forall(_.isEmpty) && hits.forall(_.isEmpty)
+      if (roundEnds && outs.iterator.map(_.peeledOwnedTotal).sum >= n) done = true
+      else {
+        if (roundEnds) k += 1
+        in = SubroundIn(k, roundEnds, sub, decs, hits,
+          Array.concat(outs.map(_.newlyPeeled): _*),
+          Array.concat(outs.map(_.dirRemove): _*),
+          Array.concat(outs.map(_.dirAdd): _*),
+          Array.concat(outs.map(_.dirAddRate): _*))
       }
     }
 
@@ -201,25 +172,10 @@ object PeelEngine {
     prevCached.unpersist(false)
 
     val wall = (System.nanoTime() - t0) / 1e6
-    val metrics = RunMetrics(cfg.name, wall, rounds, sub, rhoPrime, work, edges,
-      structOps, histOps, decMsgs, hitMsgs, localDecs, inbound, maxContention,
+    val metrics = RunMetrics(cfg.name, wall, rounds, sub, rhoPrime, total.work,
+      total.edgeTraversals, total.structOps, total.histogramOps, total.decMsgs,
+      total.hitMsgs, total.localDecs, total.inboundApplied, total.maxInboundPerVertex,
       spanOps, maxSampled, 0)
     (core, metrics)
-  }
-
-  private def concat(arrs: Seq[Array[Int]]): Array[Int] = {
-    val total = arrs.iterator.map(_.length).sum
-    val out = new Array[Int](total)
-    var off = 0
-    arrs.foreach { a => System.arraycopy(a, 0, out, off, a.length); off += a.length }
-    out
-  }
-
-  private def concatD(arrs: Seq[Array[Double]]): Array[Double] = {
-    val total = arrs.iterator.map(_.length).sum
-    val out = new Array[Double](total)
-    var off = 0
-    arrs.foreach { a => System.arraycopy(a, 0, out, off, a.length); off += a.length }
-    out
   }
 }

@@ -55,7 +55,7 @@ object SubroundProcessor {
     var error = false
 
     // --- outputs ------------------------------------------------------------
-    val outDecs = Array.fill(nParts)(new ArrayBuilder.ofInt)
+    val outDecs = Array.fill(nParts)(new ArrayBuilder.ofLong)
     val outHits = Array.fill(nParts)(new ArrayBuilder.ofInt)
     val histo: java.util.HashMap[Integer, Integer] =
       if (cfg.peel == Offline) new java.util.HashMap[Integer, Integer]() else null
@@ -97,12 +97,11 @@ object SubroundProcessor {
 
     // --- step 2: incoming explicit decrements -------------------------------
     val inb = new java.util.HashMap[Integer, Integer]()
-    val decT = in.decs(pid)
-    val decC = if (in.decCounts != null) in.decCounts(pid) else null
+    val decIn = in.decs(pid)
     i = 0
-    while (i < decT.length) {
-      val t = decT(i)
-      val c = if (decC != null) decC(i) else 1
+    while (i < decIn.length) {
+      val t = DecMsg.target(decIn(i))
+      val c = DecMsg.count(decIn(i))
       inboundApplied += c
       work += c
       val cur = inb.merge(Integer.valueOf(t), Integer.valueOf(c), (a, b) => Integer.valueOf(a + b))
@@ -267,7 +266,7 @@ object SubroundProcessor {
                   hitMsgs += 1
                 }
               } else {
-                outDecs(Csr.ownerOf(u, n, nParts)) += u
+                outDecs(Csr.ownerOf(u, n, nParts)) += DecMsg.pack(u, 1)
                 decMsgs += 1
               }
             }
@@ -277,28 +276,18 @@ object SubroundProcessor {
       }
     }
 
-    // Offline mode: split the histogram into per-partition (target, count)
-    // message arrays — including self-addressed ones (batch-synchronous
-    // application next subround, Alg. 2).
-    var outDecArrays: Array[Array[Int]] = null
-    var outCntArrays: Array[Array[Int]] = null
+    // Offline mode: route the histogram as combined (target, count) messages
+    // — including self-addressed ones (batch-synchronous application next
+    // subround, Alg. 2).
     if (!online) {
-      val decB = Array.fill(nParts)(new ArrayBuilder.ofInt)
-      val cntB = Array.fill(nParts)(new ArrayBuilder.ofInt)
       val it = histo.entrySet().iterator()
       while (it.hasNext) {
         val e = it.next()
         val t = e.getKey.intValue()
-        val p = Csr.ownerOf(t, n, nParts)
-        decB(p) += t
-        cntB(p) += e.getValue.intValue()
+        outDecs(Csr.ownerOf(t, n, nParts)) += DecMsg.pack(t, e.getValue.intValue())
         decMsgs += 1
         work += 1
       }
-      outDecArrays = decB.map(_.result())
-      outCntArrays = cntB.map(_.result())
-    } else {
-      outDecArrays = outDecs.map(_.result())
     }
 
     st.frontier = nextFrontier.result()
@@ -311,8 +300,7 @@ object SubroundProcessor {
 
     SubroundOut(
       pid,
-      outDecArrays,
-      outCntArrays,
+      outDecs.map(_.result()),
       outHits.map(_.result()),
       newlyPeeled.result(),
       dirRemoveOut.result(),

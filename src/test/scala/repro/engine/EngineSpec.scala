@@ -56,6 +56,10 @@ class EngineSpec extends SparkSpec {
     check(TestGraphs.random(40, 120, 4), KCoreConfig.ours, nParts = 16)
   }
 
+  test("the handle's partition count wins over cfg.nParts") {
+    check(TestGraphs.random(200, 1500, 11), KCoreConfig.ours.copy(nParts = 16), nParts = 3)
+  }
+
   test("isolated vertices get coreness 0") {
     val g = LocalGraph.fromEdgeSeq(10, Seq((0, 1), (2, 3)))
     check(g, KCoreConfig.ours)

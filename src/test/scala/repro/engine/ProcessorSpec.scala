@@ -19,9 +19,16 @@ class ProcessorSpec extends AnyFunSuite {
 
   private def emptyIn(k: Int, roundStart: Boolean, sub: Int = 1): SubroundIn =
     SubroundIn(k, roundStart, sub,
-      Array.fill(2)(Array.emptyIntArray), null,
+      Array.fill(2)(Array.emptyLongArray),
       Array.fill(2)(Array.emptyIntArray),
       Array.emptyIntArray, Array.emptyIntArray, Array.emptyIntArray, Array.emptyDoubleArray)
+
+  /** Inbox of partition 1 holding the given (target, count) decrements. */
+  private def decsTo1(msgs: (Int, Int)*): Array[Array[Long]] =
+    Array(Array.emptyLongArray, msgs.map { case (t, c) => DecMsg.pack(t, c) }.toArray)
+
+  private def pairs(msgs: Array[Long]): Seq[(Int, Int)] =
+    msgs.toSeq.map(m => (DecMsg.target(m), DecMsg.count(m)))
 
   test("init: induced degrees equal input degrees; nothing peeled") {
     val st = mkState(KCoreConfig.plain, 0)
@@ -49,7 +56,7 @@ class ProcessorSpec extends AnyFunSuite {
     // 0 → 1 → 2 → 3 all peel locally; the decrement to remote 4 is a message.
     assert(out.newlyPeeled.toSeq == Seq(0, 1, 2, 3))
     assert(st.frontier.isEmpty)
-    assert(out.outDecs(1).toSeq == Seq(4))
+    assert(pairs(out.outDecs(1)) == Seq((4, 1)))
     assert(out.counters.maxChainOps >= 4)
   }
 
@@ -63,7 +70,7 @@ class ProcessorSpec extends AnyFunSuite {
 
   test("incoming explicit decrement crossing joins this subround's frontier") {
     val st = mkState(KCoreConfig.plain, 1) // owns 4..7, degrees (2,2,2,1)
-    val in = emptyIn(1, roundStart = false).copy(decs = Array(Array.emptyIntArray, Array(4)))
+    val in = emptyIn(1, roundStart = false).copy(decs = decsTo1((4, 1)))
     val out = SubroundProcessor.process(st, in, KCoreConfig.plain)
     // deg(4): 2 → 1 == k → assigned and peeled this subround, decrementing 5.
     assert(st.core(st.li(4)) == 1)
@@ -74,10 +81,19 @@ class ProcessorSpec extends AnyFunSuite {
   test("decrements to already-assigned vertices are ignored") {
     val st = mkState(KCoreConfig.plain, 1)
     st.core(st.li(4)) = 1 // pretend assigned
-    val in = emptyIn(1, roundStart = false).copy(decs = Array(Array.emptyIntArray, Array(4, 4)))
+    val in = emptyIn(1, roundStart = false).copy(decs = decsTo1((4, 1), (4, 1)))
     val before = st.deg(st.li(4))
     SubroundProcessor.process(st, in, KCoreConfig.plain)
     assert(st.deg(st.li(4)) == before)
+  }
+
+  test("an inbound (target, count) decrement applies its whole count") {
+    val st = mkState(KCoreConfig.plain, 1) // deg(4) = 2
+    val in = emptyIn(1, roundStart = false).copy(decs = decsTo1((4, 2)))
+    val out = SubroundProcessor.process(st, in, KCoreConfig.plain)
+    assert(st.deg(st.li(4)) == 0)
+    assert(out.counters.inboundApplied == 2)
+    assert(out.counters.maxInboundPerVertex == 2)
   }
 
   test("offline peel emits combined (target,count) messages including self") {
@@ -88,8 +104,7 @@ class ProcessorSpec extends AnyFunSuite {
     // histogram message, not an immediate application.
     assert(out.newlyPeeled.toSeq == Seq(0))
     assert(st.deg(1) == 2)
-    assert(out.outDecs(0).toSeq == Seq(1))
-    assert(out.outDecCounts(0).toSeq == Seq(1))
+    assert(pairs(out.outDecs(0)) == Seq((1, 1)))
     assert(st.frontier.isEmpty)
   }
 
@@ -102,8 +117,7 @@ class ProcessorSpec extends AnyFunSuite {
     st.frontier = Array(0, 2)
     val out = SubroundProcessor.process(st, emptyIn(2, roundStart = false), cfg)
     // Both 0 and 2 decrement vertex 1 → one message (1, 2).
-    val idx = out.outDecs(0).indexOf(1)
-    assert(idx >= 0 && out.outDecCounts(0)(idx) == 2)
+    assert(pairs(out.outDecs(0)).contains((1, 2)))
   }
 
   test("sample hits to a non-sampled vertex are discarded") {
@@ -140,7 +154,7 @@ class ProcessorSpec extends AnyFunSuite {
     while (st.frontier.nonEmpty) {
       val o = SubroundProcessor.process(st, emptyIn(1, roundStart = false, sub), cfg)
       hits ++= o.outHits(1).toSeq
-      decs ++= o.outDecs(1).toSeq
+      decs ++= pairs(o.outDecs(1)).map(_._1)
       sub += 1
     }
     assert(hits == Seq(4))
@@ -188,6 +202,13 @@ class ProcessorSpec extends AnyFunSuite {
     val in = emptyIn(0, roundStart = false).copy(peeledDelta = Array(0, 1, 2))
     SubroundProcessor.process(st, in, KCoreConfig.plain)
     assert(st.isPeeledBit(1) && st.isPeeledBit(2) && !st.isPeeledBit(3))
+  }
+
+  test("SubCounters.combine sums the sums and takes the max of the maxima") {
+    val a = SubCounters(10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11)
+    val b = SubCounters(20, 2, 4, 6, 8, 10, 12, 14, 3, 30, 22)
+    assert((a combine b) == SubCounters(30, 3, 6, 9, 12, 15, 18, 21, 8, 30, 33))
+    assert((SubCounters.zero combine a) == a)
   }
 
   test("deepCopy isolates all mutable state") {
