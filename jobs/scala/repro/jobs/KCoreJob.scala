@@ -13,14 +13,9 @@ object KCoreJob {
     require(args.nonEmpty, "usage: KCoreJob <graph> [algo]")
     val spark = SparkJob.session("kcore")
     val spec = GraphSuite.byName(args(0))
-    val cfg = args.lift(1).getOrElse("ours").toLowerCase match {
-      case "ours" => KCoreConfig.ours
-      case "plain" => KCoreConfig.plain
-      case "julienne" => KCoreConfig.julienne
-      case "park" => KCoreConfig.park
-      case "pkc" => KCoreConfig.pkc
-      case other => sys.error(s"unknown algo $other")
-    }
+    val algo = args.lift(1).getOrElse("ours")
+    val cfg = KCoreConfig.presets.find(_.name.equalsIgnoreCase(algo))
+      .getOrElse(sys.error(s"unknown algo $algo"))
     val g = spec.build()
     // Exercise the full DataFrame surface end to end.
     val edges = GraphOps.toDF(spark, g)

@@ -60,6 +60,9 @@ object KCoreConfig {
     */
   def pkc: KCoreConfig = KCoreConfig("PKC", Online, Int.MaxValue, None, ScanAllBuckets)
 
+  /** The named presets: ours and the plain framework, then the baselines. */
+  def presets: Seq[KCoreConfig] = Seq(ours, plain, julienne, park, pkc)
+
   /** The 8 technique combinations of Tab. 3: {VGC} × {sampling} × {HBS}. */
   def combos: Seq[KCoreConfig] = {
     for {

@@ -17,7 +17,7 @@ final case class GraphHandle(base: RDD[PartitionGraph], n: Int, maxDeg: Int) {
 object ParallelKCore {
 
   /** Distributed CSR build from a canonical symmetric edge DataFrame. */
-  def prepare(spark: SparkSession, edges: DataFrame, n: Int, nParts: Int = 16): GraphHandle = {
+  def prepare(spark: SparkSession, edges: DataFrame, n: Int, nParts: Int): GraphHandle = {
     val base = Csr.buildDistributed(spark, edges, n, nParts).persist(StorageLevel.MEMORY_ONLY)
     val maxDeg = base.map { g =>
       var mx = 0; var i = 0
@@ -30,7 +30,7 @@ object ParallelKCore {
   /** Driver-side split of an already-canonical LocalGraph (used by tests and
     * benches to skip the DataFrame round-trip when the graph is in hand).
     */
-  def prepareLocal(spark: SparkSession, g: LocalGraph, nParts: Int = 16): GraphHandle = {
+  def prepareLocal(spark: SparkSession, g: LocalGraph, nParts: Int): GraphHandle = {
     val parts = Csr.buildLocal(g, nParts)
     // One PartitionGraph per Spark partition; message routing keys on g.pid,
     // so index alignment is convenient but not required.

@@ -46,11 +46,15 @@ object Csr {
 
   /** Build the per-partition CSRs from a canonical symmetric edge DataFrame.
     * Edges are shuffled to the owner of their source; each partition sorts
-    * its share and lays out the CSR. The result is cached by the caller.
+    * its share and lays out the CSR. The result is cached by the caller. An
+    * id outside [0, n) fails the build with an `out of range` error.
     */
   def buildDistributed(spark: SparkSession, edges: DataFrame, n: Int, nParts: Int): RDD[PartitionGraph] = {
     val pairs: RDD[(Int, Int)] = edges.select("src", "dst").rdd.map { r =>
-      (r.get(0).asInstanceOf[Number].intValue(), r.get(1).asInstanceOf[Number].intValue())
+      val s = r.get(0).asInstanceOf[Number].intValue()
+      val d = r.get(1).asInstanceOf[Number].intValue()
+      require(s >= 0 && s < n && d >= 0 && d < n, s"edge ($s,$d) out of range [0,$n)")
+      (s, d)
     }
     pairs
       .partitionBy(new PidPartitioner(nParts, n))

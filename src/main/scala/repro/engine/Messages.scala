@@ -12,9 +12,9 @@ object DecMsg {
 
 /** Broadcast input of one subround. `decs` (packed `DecMsg`s) and `hits` are
   * indexed by destination partition; each partition reads only its own inbox
-  * but every partition applies `peeledDelta` and the sampler-directory deltas
-  * (the directory is replicated so *senders* can decide dec-vs-hit, mirroring
-  * the shared-memory read of σ[u]).
+  * but every partition applies `peeledDelta`. `sampled` (ascending) and
+  * `sampledRate` are the sampler directory the owners reported last subround,
+  * read by *senders* to decide dec-vs-hit (the shared-memory read of σ[u]).
   */
 final case class SubroundIn(
     k: Int,
@@ -23,16 +23,16 @@ final case class SubroundIn(
     decs: Array[Array[Long]],
     hits: Array[Array[Int]],
     peeledDelta: Array[Int],
-    dirRemove: Array[Int],
-    dirAdd: Array[Int],
-    dirAddRate: Array[Double]) extends Serializable
+    sampled: Array[Int],
+    sampledRate: Array[Double]) extends Serializable
 
 object SubroundIn {
-  def initial(nParts: Int, dirAdd: Array[Int], dirAddRate: Array[Double]): SubroundIn =
+  /** Subround 0 peels only degree-0 vertices, so its directory is empty. */
+  def initial(nParts: Int): SubroundIn =
     SubroundIn(0, roundStart = true, 0,
       Array.fill(nParts)(Array.emptyLongArray),
       Array.fill(nParts)(Array.emptyIntArray),
-      Array.emptyIntArray, Array.emptyIntArray, dirAdd, dirAddRate)
+      Array.emptyIntArray, Array.emptyIntArray, Array.emptyDoubleArray)
 }
 
 /** Per-subround operation counters of one partition (feeds the cost model).
@@ -69,18 +69,18 @@ object SubCounters {
   val zero: SubCounters = SubCounters(0L, 0L, 0L, 0L, 0L, 0L, 0L, 0L, 0, 0L, 0)
 }
 
-/** Output of one partition for one subround. */
+/** Output of one partition for one subround. `sampled` (ascending, distinct)
+  * and `sampledRate` are the owned vertices in sample mode and their rates.
+  */
 final case class SubroundOut(
     pid: Int,
     outDecs: Array[Array[Long]],
     outHits: Array[Array[Int]],
     newlyPeeled: Array[Int],
-    dirRemove: Array[Int],
-    dirAdd: Array[Int],
-    dirAddRate: Array[Double],
+    sampled: Array[Int],
+    sampledRate: Array[Double],
     localFrontierSize: Int,
     pendingRecounts: Int,
     peeledOwnedTotal: Int,
-    sampledNow: Int,
     counters: SubCounters,
     error: Boolean) extends Serializable

@@ -24,29 +24,25 @@ final class PartitionState(
     var pendingRecount: Array[Int],  // owned global ids to recount this subround
     var sampledOwned: Array[Int],    // owned global ids possibly in sample mode (lazily filtered)
     val strategy: BucketStrategy,
-    val dir: java.util.HashMap[Integer, java.lang.Double], // replica of the global sampler directory
     var peeledOwnedCount: Int) extends Serializable {
 
   @inline def li(v: Int): Int = v - g.lo
   @inline def isPeeledBit(v: Int): Boolean = (peeled(v >>> 6) & (1L << (v & 63))) != 0
   @inline def setPeeledBit(v: Int): Unit = peeled(v >>> 6) |= (1L << (v & 63))
 
-  def deepCopy(): PartitionState = {
-    val d = new java.util.HashMap[Integer, java.lang.Double](dir)
+  def deepCopy(): PartitionState =
     new PartitionState(
       g, deg.clone(), core.clone(), peeled.clone(), mode.clone(), cnt.clone(),
       rateArr.clone(), frontier, pendingRecount, sampledOwned,
-      strategy.deepCopy(), d, peeledOwnedCount)
-  }
+      strategy.deepCopy(), peeledOwnedCount)
 }
 
 object PartitionState {
 
-  /** Fresh state for one partition under `cfg`. Returns the state plus the
-    * initial sampler-directory entries contributed by this partition
-    * (vertices put into sample mode at k = 0).
+  /** Fresh state for one partition under `cfg`; vertices that can be sampled
+    * at k = 0 start in sample mode.
     */
-  def init(g: PartitionGraph, cfg: KCoreConfig, maxDegGlobal: Int): (PartitionState, Array[Int], Array[Double]) = {
+  def init(g: PartitionGraph, cfg: KCoreConfig, maxDegGlobal: Int): PartitionState = {
     val nOwned = g.nOwned
     val deg = Array.tabulate(nOwned)(g.degreeLocal)
     val core = Array.fill(nOwned)(-1)
@@ -62,9 +58,6 @@ object PartitionState {
     }
     val owned = Array.tabulate(nOwned)(i => g.lo + i)
     strategy.init(owned, v => deg(v - g.lo))
-    val dir = new java.util.HashMap[Integer, java.lang.Double]()
-    val dirAddV = new scala.collection.mutable.ArrayBuilder.ofInt
-    val dirAddR = new scala.collection.mutable.ArrayBuilder.ofDouble
     val sampled = new scala.collection.mutable.ArrayBuilder.ofInt
     cfg.sampling.foreach { sp =>
       var i = 0
@@ -72,15 +65,12 @@ object PartitionState {
         if (sp.canSample(deg(i), 0)) {
           mode(i) = 1
           rate(i) = sp.rateFor(deg(i), g.n)
-          dirAddV += (g.lo + i)
-          dirAddR += rate(i)
           sampled += (g.lo + i)
         }
         i += 1
       }
     }
-    val st = new PartitionState(g, deg, core, peeled, mode, cnt, rate,
-      Array.emptyIntArray, Array.emptyIntArray, sampled.result(), strategy, dir, 0)
-    (st, dirAddV.result(), dirAddR.result())
+    new PartitionState(g, deg, core, peeled, mode, cnt, rate,
+      Array.emptyIntArray, Array.emptyIntArray, sampled.result(), strategy, 0)
   }
 }

@@ -90,17 +90,11 @@ object PeelEngine {
     val nParts = base.getNumPartitions
     val t0 = System.nanoTime()
 
-    // --- init ---------------------------------------------------------------
-    val initRdd = base
-      .mapPartitions(it => it.map(g => PartitionState.init(g, cfg, maxDeg)), preservesPartitioning = true)
-      .persist(StorageLevel.MEMORY_ONLY)
-    val dirInit = initRdd.map(t => (t._2, t._3)).collect()
-    var state: RDD[PartitionState] = initRdd.map(_._1)
-    var prevCached: RDD[_] = initRdd
-
-    var in = SubroundIn.initial(nParts,
-      dirInit.iterator.flatMap(_._1).toArray,
-      dirInit.iterator.flatMap(_._2).toArray)
+    // Subround 0 builds the partition states.
+    var state: RDD[PartitionState] = base.mapPartitions(
+      it => it.map(g => PartitionState.init(g, cfg, maxDeg)), preservesPartitioning = true)
+    var prevCached: RDD[_] = state
+    var in = SubroundIn.initial(nParts)
 
     // --- metrics: one counter total plus per-subround maxima -----------------
     var k = 0
@@ -112,7 +106,6 @@ object PeelEngine {
     var maxSampled = 0
 
     var done = false
-    var lastPair: RDD[(PartitionState, SubroundOut)] = null
     while (!done) {
       if (in.roundStart) rounds += 1
       val bc = sc.broadcast(in)
@@ -129,7 +122,6 @@ object PeelEngine {
       bc.unpersist(false)
       prevCached.unpersist(false)
       prevCached = pair
-      lastPair = pair
       state = pair.map(_._1)
       sub += 1
 
@@ -144,7 +136,7 @@ object PeelEngine {
         o.counters.maxChainOps + CostWeights.Contention.toLong * o.counters.maxInboundPerVertex
       }.max
       if (subTotal.frontierProcessed > 0) rhoPrime += 1
-      maxSampled = math.max(maxSampled, outs.iterator.map(_.sampledNow).sum)
+      maxSampled = math.max(maxSampled, outs.iterator.map(_.sampled.length).sum)
       if (outs.exists(_.error) && cfg.sampling.isDefined)
         throw new SamplingError(s"missed peel detected at round $k subround $sub")
 
@@ -158,15 +150,15 @@ object PeelEngine {
         if (roundEnds) k += 1
         in = SubroundIn(k, roundEnds, sub, decs, hits,
           Array.concat(outs.map(_.newlyPeeled): _*),
-          Array.concat(outs.map(_.dirRemove): _*),
-          Array.concat(outs.map(_.dirAdd): _*),
-          Array.concat(outs.map(_.dirAddRate): _*))
+          // Owners hold contiguous ranges, so pid order is ascending order.
+          Array.concat(outs.map(_.sampled): _*),
+          Array.concat(outs.map(_.sampledRate): _*))
       }
     }
 
     // --- collect result -----------------------------------------------------
     val core = new Array[Int](n)
-    lastPair.map(_._1).flatMap { st =>
+    state.flatMap { st =>
       st.core.indices.iterator.map(i => (st.g.lo + i, st.core(i)))
     }.collect().foreach { case (v, c) => core(v) = c }
     prevCached.unpersist(false)

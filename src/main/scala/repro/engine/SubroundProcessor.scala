@@ -60,9 +60,6 @@ object SubroundProcessor {
     val histo: java.util.HashMap[Integer, Integer] =
       if (cfg.peel == Offline) new java.util.HashMap[Integer, Integer]() else null
     val newlyPeeled = new ArrayBuilder.ofInt
-    val dirRemoveOut = new ArrayBuilder.ofInt
-    val dirAddOut = new ArrayBuilder.ofInt
-    val dirAddRateOut = new ArrayBuilder.ofDouble
     val pendingNext = new ArrayBuilder.ofInt
     var pendingNextCount = 0
     val nextFrontier = new ArrayBuilder.ofInt
@@ -77,18 +74,8 @@ object SubroundProcessor {
     @inline def beginExit(v: Int): Unit = {
       val j = st.li(v)
       st.mode(j) = 2
-      dirRemoveOut += v
       pendingNext += v
       pendingNextCount += 1
-    }
-
-    // --- step 0: sampler-directory deltas ----------------------------------
-    i = 0
-    while (i < in.dirRemove.length) { st.dir.remove(Integer.valueOf(in.dirRemove(i))); i += 1 }
-    i = 0
-    while (i < in.dirAdd.length) {
-      st.dir.put(Integer.valueOf(in.dirAdd(i)), java.lang.Double.valueOf(in.dirAddRate(i)))
-      i += 1
     }
 
     // --- step 1: peeled-bitmap delta ----------------------------------------
@@ -196,8 +183,6 @@ object SubroundProcessor {
         } else if (sp != null && sp.canSample(trueDeg, k)) {
           st.mode(j) = 1
           st.rateArr(j) = sp.rateFor(trueDeg, n)
-          dirAddOut += v
-          dirAddRateOut += st.rateArr(j)
           newSampled += v
         } else {
           st.mode(j) = 0
@@ -259,9 +244,9 @@ object SubroundProcessor {
                 }
               }
             } else {
-              val rt = st.dir.get(Integer.valueOf(u))
-              if (rt != null) {
-                if (rng.nextDouble() < rt.doubleValue()) {
+              val s = java.util.Arrays.binarySearch(in.sampled, u)
+              if (s >= 0) {
+                if (rng.nextDouble() < in.sampledRate(s)) {
                   outHits(Csr.ownerOf(u, n, nParts)) += u
                   hitMsgs += 1
                 }
@@ -294,6 +279,8 @@ object SubroundProcessor {
     st.pendingRecount = pendingNext.result()
     val ns = newSampled.result()
     if (ns.nonEmpty) st.sampledOwned = st.sampledOwned ++ ns
+    // A vertex that exits and re-enters within a round is listed twice.
+    val sampled = st.sampledOwned.filter(v => st.mode(st.li(v)) == 1).sorted.distinct
 
     val structOps = st.strategy.ops - structOpsBefore
     work += structOps
@@ -303,13 +290,11 @@ object SubroundProcessor {
       outDecs.map(_.result()),
       outHits.map(_.result()),
       newlyPeeled.result(),
-      dirRemoveOut.result(),
-      dirAddOut.result(),
-      dirAddRateOut.result(),
+      sampled,
+      sampled.map(v => st.rateArr(st.li(v))),
       st.frontier.length,
       pendingNextCount,
       st.peeledOwnedCount,
-      st.sampledOwned.length,
       SubCounters(work, edgeTraversals, decMsgs, hitMsgs, localDecs, structOps,
         histogramOps, inboundApplied, maxInbound, maxChainOps, frontierProcessed),
       error)

@@ -30,7 +30,7 @@ object Table2Harness {
   val algos: Seq[KCoreConfig] =
     Seq(KCoreConfig.ours, KCoreConfig.julienne, KCoreConfig.park, KCoreConfig.pkc)
 
-  def runGraph(spark: SparkSession, spec: GraphSpec, nParts: Int = 16,
+  def runGraph(spark: SparkSession, spec: GraphSpec, nParts: Int,
                verbose: Boolean = true): Row = {
     val g = spec.build()
     var t0 = System.nanoTime()
@@ -58,21 +58,22 @@ object Table2Harness {
     Row(spec, g.n, g.m, seqRes.kmax, seqRes.rho, bzMillis, seqMillis, seqWork, runs)
   }
 
-  /** One untimed pass over every configuration on a small graph so JIT
-    * compilation does not penalize whichever algorithm happens to run first.
+  /** One untimed pass over every configuration on a small graph, at the
+    * measured partition count, so JIT compilation does not penalize whichever
+    * algorithm happens to run first.
     */
-  def warmup(spark: SparkSession, cfgs: Seq[KCoreConfig]): Unit = {
+  def warmup(spark: SparkSession, cfgs: Seq[KCoreConfig], nParts: Int): Unit = {
     val el = new repro.graph.GraphGen.EdgeList
     repro.graph.GraphGen.ba(el, 3000, 5, 987)
     val g = repro.graph.LocalGraph.fromPairs(3000, el.srcs, el.dsts)
-    val handle = ParallelKCore.prepareLocal(spark, g, 16)
+    val handle = ParallelKCore.prepareLocal(spark, g, nParts)
     cfgs.foreach(c => ParallelKCore.run(handle, c))
     handle.unpersist()
   }
 
   def run(spark: SparkSession, names: Seq[String] = GraphSuite.all.map(_.name),
           nParts: Int = 16): Seq[Row] = {
-    warmup(spark, algos)
+    warmup(spark, algos, nParts)
     names.map(n => runGraph(spark, GraphSuite.byName(n), nParts))
   }
 

@@ -55,7 +55,7 @@ object Table3Harness {
       spec: GraphSpec,
       comboRuns: Seq[(String, Table2Harness.AlgoRun)])
 
-  def runGraph(spark: SparkSession, spec: GraphSpec, nParts: Int = 16,
+  def runGraph(spark: SparkSession, spec: GraphSpec, nParts: Int,
                verbose: Boolean = true): Row = {
     val g = spec.build()
     val bzCore = SeqKCore.bz(g)
@@ -75,7 +75,7 @@ object Table3Harness {
 
   def run(spark: SparkSession, names: Seq[String] = GraphSuite.all.map(_.name),
           nParts: Int = 16): Seq[Row] = {
-    Table2Harness.warmup(spark, comboConfigs)
+    Table2Harness.warmup(spark, comboConfigs, nParts)
     names.map(n => runGraph(spark, GraphSuite.byName(n), nParts))
   }
 

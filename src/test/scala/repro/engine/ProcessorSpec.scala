@@ -14,14 +14,14 @@ class ProcessorSpec extends AnyFunSuite {
   private val path = TestGraphs.path(8)
   private def mkState(cfg: KCoreConfig, pid: Int): PartitionState = {
     val parts = Csr.buildLocal(path, 2)
-    PartitionState.init(parts(pid), cfg, path.maxDegree)._1
+    PartitionState.init(parts(pid), cfg, path.maxDegree)
   }
 
   private def emptyIn(k: Int, roundStart: Boolean, sub: Int = 1): SubroundIn =
     SubroundIn(k, roundStart, sub,
       Array.fill(2)(Array.emptyLongArray),
       Array.fill(2)(Array.emptyIntArray),
-      Array.emptyIntArray, Array.emptyIntArray, Array.emptyIntArray, Array.emptyDoubleArray)
+      Array.emptyIntArray, Array.emptyIntArray, Array.emptyDoubleArray)
 
   /** Inbox of partition 1 holding the given (target, count) decrements. */
   private def decsTo1(msgs: (Int, Int)*): Array[Array[Long]] =
@@ -128,23 +128,26 @@ class ProcessorSpec extends AnyFunSuite {
     assert(st.cnt(st.li(5)) == 0)
   }
 
-  test("sampler directory deltas update the replica") {
+  test("owners report their mode-1 vertices, ascending and distinct, with rates") {
     val st = mkState(KCoreConfig.plain, 0)
-    val in = emptyIn(0, roundStart = true).copy(dirAdd = Array(6), dirAddRate = Array(0.25))
-    SubroundProcessor.process(st, in, KCoreConfig.plain)
-    assert(st.dir.get(6) == 0.25)
-    val in2 = emptyIn(0, roundStart = false, sub = 2).copy(dirRemove = Array(6))
-    SubroundProcessor.process(st, in2, KCoreConfig.plain)
-    assert(!st.dir.containsKey(6))
+    // 3 exited and re-entered this round, so it is listed twice; 2 is exiting.
+    st.sampledOwned = Array(3, 1, 2, 3)
+    st.mode(1) = 1; st.rateArr(1) = 0.5
+    st.mode(2) = 2; st.rateArr(2) = 0.75
+    st.mode(3) = 1; st.rateArr(3) = 0.25
+    val out = SubroundProcessor.process(st, emptyIn(0, roundStart = false), KCoreConfig.plain)
+    assert(out.sampled.toSeq == Seq(1, 3))
+    assert(out.sampledRate.toSeq == Seq(0.5, 0.25))
   }
 
   test("senders consult the directory: sampled remote targets get hits, not decs") {
-    // No local sampling — only the replicated directory entry for remote 4.
+    // No local sampling — only the directory entry for remote 4, which every
+    // subround's input carries (partitions keep no copy of it).
     val cfg = KCoreConfig.plain
     val st = mkState(cfg, 0)
     // Mark remote vertex 4 as sampled with rate 1.0 → every touch is a hit.
-    val in = emptyIn(1, roundStart = true).copy(dirAdd = Array(4), dirAddRate = Array(1.0))
-    val out = SubroundProcessor.process(st, in, cfg)
+    def withDir(in: SubroundIn): SubroundIn = in.copy(sampled = Array(4), sampledRate = Array(1.0))
+    val out = SubroundProcessor.process(st, withDir(emptyIn(1, roundStart = true)), cfg)
     // Chain disabled (vgc 0): subround peels 0 only; no message to 4 yet.
     assert(out.outHits(1).isEmpty && out.outDecs(1).isEmpty)
     // Advance: peel 1,2,3 over subsequent subrounds; 3's neighbor 4 is remote.
@@ -152,7 +155,7 @@ class ProcessorSpec extends AnyFunSuite {
     var hits = Seq.empty[Int]
     var decs = Seq.empty[Int]
     while (st.frontier.nonEmpty) {
-      val o = SubroundProcessor.process(st, emptyIn(1, roundStart = false, sub), cfg)
+      val o = SubroundProcessor.process(st, withDir(emptyIn(1, roundStart = false, sub)), cfg)
       hits ++= o.outHits(1).toSeq
       decs ++= pairs(o.outDecs(1)).map(_._1)
       sub += 1
@@ -216,9 +219,7 @@ class ProcessorSpec extends AnyFunSuite {
     val copy = st.deepCopy()
     copy.deg(0) = 42
     copy.setPeeledBit(3)
-    copy.dir.put(9, 0.5)
     assert(st.deg(0) == 1)
     assert(!st.isPeeledBit(3))
-    assert(!st.dir.containsKey(9))
   }
 }
