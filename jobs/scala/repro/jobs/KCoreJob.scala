@@ -22,7 +22,7 @@ object KCoreJob {
     val (coreDf, metrics) = ParallelKCore.runDF(spark, edges, g.n, cfg)
     val dist = coreDf.groupBy("coreness").count().orderBy("coreness").collect()
     println(s"graph=${spec.name} n=${g.n} m=${g.m} algo=${cfg.name}")
-    println(f"wall=${metrics.wallMillis / 1000}%.3fs subrounds=${metrics.subrounds} " +
+    println(f"wall=${metrics.wallMillis / 1000}%.3fs rounds=${metrics.rounds} subrounds=${metrics.subrounds} " +
       f"rho'=${metrics.subroundsNonEmpty} work=${metrics.work} " +
       f"modeled96=${CostModel.tpSeconds(metrics)}%.4fs")
     println("coreness distribution (coreness -> count):")

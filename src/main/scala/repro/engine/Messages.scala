@@ -71,6 +71,10 @@ object SubCounters {
 
 /** Output of one partition for one subround. `sampled` (ascending, distinct)
   * and `sampledRate` are the owned vertices in sample mode and their rates.
+  * `nextKey` is a lower bound on the next round in which the partition can
+  * extract or exit a vertex; it is only computed (else k + 1) when the
+  * partition has no frontier and no recount left, the only case in which the
+  * driver reads it.
   */
 final case class SubroundOut(
     pid: Int,
@@ -82,5 +86,6 @@ final case class SubroundOut(
     localFrontierSize: Int,
     pendingRecounts: Int,
     peeledOwnedTotal: Int,
+    nextKey: Int,
     counters: SubCounters,
     error: Boolean) extends Serializable

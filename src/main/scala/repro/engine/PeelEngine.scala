@@ -24,6 +24,9 @@ object CostWeights {
 /** Aggregated metrics of one parallel k-core run (feeds the cost model and
   * the table harnesses).
   *
+  * @param rounds            rounds executed (round 0 included): a round whose
+  *                          key no partition can act at is skipped, not
+  *                          executed (DESIGN.md §5)
   * @param subrounds         total BSP subrounds executed (Spark jobs — each
   *                          one pays the scheduling overhead ω)
   * @param subroundsNonEmpty subrounds that peeled ≥ 1 vertex — the paper's
@@ -63,25 +66,33 @@ object PeelEngine {
     */
   private val CheckpointEvery = 16
 
+  private val JobDescription = "spark.job.description"
+
   /** Run k-core under `cfg` over a cached base graph. Restarts without
     * sampling if a recount detects a missed peel (never observed with the
-    * default μ — exercised in tests by forcing a tiny μ).
+    * default μ — exercised in tests by forcing a tiny μ). Each subround's
+    * job is described as `kcore <name> k=<k> sub=<subround>`; the caller's
+    * job description is restored on return.
     */
   def run(base: RDD[PartitionGraph], n: Int, maxDeg: Int, cfg: KCoreConfig): (Array[Int], RunMetrics) = {
+    val sc = base.sparkContext
+    val callerDescription = sc.getLocalProperty(JobDescription)
     var attempt = cfg
     var restarts = 0
-    while (true) {
-      try {
-        val (core, m) = runOnce(base, n, maxDeg, attempt)
-        return (core, m.copy(restarts = restarts))
-      } catch {
-        case e: SamplingError =>
-          require(attempt.sampling.isDefined, s"sampling error without sampling: ${e.getMessage}")
-          restarts += 1
-          attempt = attempt.withoutSampling
+    try {
+      while (true) {
+        try {
+          val (core, m) = runOnce(base, n, maxDeg, attempt)
+          return (core, m.copy(restarts = restarts))
+        } catch {
+          case e: SamplingError =>
+            require(attempt.sampling.isDefined, s"sampling error without sampling: ${e.getMessage}")
+            restarts += 1
+            attempt = attempt.withoutSampling
+        }
       }
-    }
-    throw new IllegalStateException("unreachable")
+      throw new IllegalStateException("unreachable")
+    } finally sc.setLocalProperty(JobDescription, callerDescription)
   }
 
   private def runOnce(base: RDD[PartitionGraph], n: Int, maxDeg: Int,
@@ -108,6 +119,7 @@ object PeelEngine {
     var done = false
     while (!done) {
       if (in.roundStart) rounds += 1
+      sc.setJobDescription(s"kcore ${cfg.name} k=$k sub=$sub")
       val bc = sc.broadcast(in)
       val pair = state.mapPartitionsWithIndex({ (_, it) =>
         it.map { st0 =>
@@ -147,7 +159,9 @@ object PeelEngine {
         decs.forall(_.isEmpty) && hits.forall(_.isEmpty)
       if (roundEnds && outs.iterator.map(_.peeledOwnedTotal).sum >= n) done = true
       else {
-        if (roundEnds) k += 1
+        // Skip the rounds no partition can act in: none has a selectable
+        // vertex at those keys or a sampled vertex failing validation there.
+        if (roundEnds) k = math.max(k + 1, outs.iterator.map(_.nextKey).min)
         in = SubroundIn(k, roundEnds, sub, decs, hits,
           Array.concat(outs.map(_.newlyPeeled): _*),
           // Owners hold contiguous ranges, so pid order is ascending order.
@@ -157,6 +171,7 @@ object PeelEngine {
     }
 
     // --- collect result -----------------------------------------------------
+    sc.setJobDescription(s"kcore ${cfg.name} collect")
     val core = new Array[Int](n)
     state.flatMap { st =>
       st.core.indices.iterator.map(i => (st.g.lo + i, st.core(i)))

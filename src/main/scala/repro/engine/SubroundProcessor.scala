@@ -282,6 +282,20 @@ object SubroundProcessor {
     // A vertex that exits and re-enters within a round is listed twice.
     val sampled = st.sampledOwned.filter(v => st.mode(st.li(v)) == 1).sorted.distinct
 
+    // The round can end here only with no frontier and no recount left. Then
+    // the next round this partition acts in is its next live key, capped at
+    // the first round where a sampled vertex fails validation (DESIGN.md §5).
+    var nextKey = k + 1
+    if (st.frontier.isEmpty && st.pendingRecount.isEmpty) {
+      nextKey = st.strategy.nextKey(k, v => st.deg(st.li(v)), v => st.core(st.li(v)) == -1)
+      i = 0
+      while (sp != null && i < sampled.length) {
+        val j = st.li(sampled(i))
+        nextKey = math.min(nextKey, sp.firstInvalidRound(st.deg(j), st.cnt(j), st.rateArr(j)))
+        i += 1
+      }
+    }
+
     val structOps = st.strategy.ops - structOpsBefore
     work += structOps
 
@@ -295,6 +309,7 @@ object SubroundProcessor {
       st.frontier.length,
       pendingNextCount,
       st.peeledOwnedCount,
+      nextKey,
       SubCounters(work, edgeTraversals, decMsgs, hitMsgs, localDecs, structOps,
         histogramOps, inboundApplied, maxInbound, maxChainOps, frontierProcessed),
       error)

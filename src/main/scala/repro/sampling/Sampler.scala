@@ -29,4 +29,17 @@ final case class SamplingParams(threshold: Int = 512, r: Double = 0.1, c: Double
     */
   def validate(d: Int, k: Int, cnt: Int, rate: Double): Boolean =
     d * r > k && cnt < rate * (d - k) / 4.0
+
+  /** The smallest round k ≥ 0 at which `validate(d, k, cnt, rate)` fails.
+    * Both of its conditions only weaken as k grows, so it holds below this
+    * round and fails from it on; the closed form is corrected against
+    * `validate` itself so floating-point rounding cannot disagree with it.
+    */
+  def firstInvalidRound(d: Int, cnt: Int, rate: Double): Int = {
+    val bound = math.min(d * r, d - 4.0 * cnt / rate)
+    var k = math.max(0.0, math.min(Int.MaxValue - 1.0, math.ceil(bound))).toInt
+    while (k > 0 && !validate(d, k - 1, cnt, rate)) k -= 1
+    while (validate(d, k, cnt, rate)) k += 1
+    k
+  }
 }

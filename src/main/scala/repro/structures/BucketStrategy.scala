@@ -15,6 +15,10 @@ import scala.collection.mutable.ArrayBuilder
   *                            θ-core is reached, then switch to [[Hbs]].
   *
   * `ops` counts structure operations (scans + inserts) for the cost model.
+  *
+  * After a round's extraction, `nextKey` tells the engine how far it may
+  * advance k: every strategy with an active set reports the next non-empty
+  * key it can see (Julienne's next-bucket), ScanAll steps one level.
   */
 sealed trait BucketStrategy extends Serializable {
   def init(owned: Array[Int], degOf: Int => Int): Unit
@@ -26,6 +30,11 @@ sealed trait BucketStrategy extends Serializable {
     * a sampled vertex's stored degree is only an estimate.
     */
   def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int]
+  /** A lower bound on the smallest current key > k among alive owned
+    * vertices (`Int.MaxValue` if there is none), called after round k's
+    * `extract`. It is never above that key.
+    */
+  def nextKey(k: Int, degOf: Int => Int, alive: Int => Boolean): Int
   def ops: Long
   def deepCopy(): BucketStrategy
 }
@@ -48,6 +57,8 @@ final class ScanAllStrategy extends BucketStrategy {
     }
     out.result()
   }
+  /** No active set to look ahead in: step one level, as ParK and PKC do. */
+  def nextKey(k: Int, degOf: Int => Int, alive: Int => Boolean): Int = k + 1
   def ops: Long = opsCount
   def deepCopy(): BucketStrategy = {
     val c = new ScanAllStrategy
@@ -61,30 +72,46 @@ final class ScanAllStrategy extends BucketStrategy {
 final class OneBucketStrategy extends BucketStrategy {
   private[structures] var active: Array[Int] = Array.emptyIntArray
   private var opsCount: Long = 0L
+  // Min key > lastK over the active set: found by the last extract's scan,
+  // lowered by every later decrease that stays above lastK.
+  private var lastK: Int = -1
+  private var minAbove: Int = Int.MaxValue
 
   def init(o: Array[Int], degOf: Int => Int): Unit = { active = o.clone() }
-  def onDecrease(v: Int, newKey: Int): Unit = ()
+  def onDecrease(v: Int, newKey: Int): Unit =
+    if (newKey > lastK && newKey < minAbove) minAbove = newKey
   def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int] = {
     opsCount += active.length
     val out = new ArrayBuilder.ofInt
     val keep = new ArrayBuilder.ofInt
+    var min = Int.MaxValue
     var i = 0
     while (i < active.length) {
       val v = active(i)
       if (alive(v)) {
-        if (selectable(v) && degOf(v) == k) out += v
-        else keep += v
+        val d = degOf(v)
+        if (selectable(v) && d == k) out += v
+        else {
+          keep += v
+          if (d > k && d < min) min = d
+        }
       }
       i += 1
     }
     active = keep.result()
+    lastK = k
+    minAbove = min
     out.result()
   }
+  def nextKey(k: Int, degOf: Int => Int, alive: Int => Boolean): Int =
+    if (k == lastK) minAbove else k + 1
   def ops: Long = opsCount
   def deepCopy(): BucketStrategy = {
     val c = new OneBucketStrategy
     c.active = active.clone()
     c.opsCount = opsCount
+    c.lastK = lastK
+    c.minAbove = minAbove
     c
   }
 }
@@ -152,6 +179,27 @@ final class FixedBucketsStrategy(val b: Int) extends BucketStrategy {
     Hbs.dedupSorted(out.result())
   }
 
+  /** Julienne's next-bucket: the first window bucket above k holding a live
+    * entry, else the window's end (keys past it sit in the overflow).
+    */
+  def nextKey(k: Int, degOf: Int => Int, alive: Int => Boolean): Int = {
+    if (windowStart < 0) return k + 1
+    var idx = math.max(0, k + 1 - windowStart)
+    while (idx < b) {
+      val key = windowStart + idx
+      val arr = buckets(idx)
+      var i = 0
+      while (i < bucketSz(idx)) {
+        val v = arr(i)
+        opsCount += 1
+        if (alive(v) && degOf(v) == key) return key
+        i += 1
+      }
+      idx += 1
+    }
+    windowStart + b
+  }
+
   def ops: Long = opsCount
   def deepCopy(): BucketStrategy = {
     val c = new FixedBucketsStrategy(b)
@@ -194,6 +242,9 @@ final class HierarchicalStrategy(val theta: Int, val maxKey: Int) extends Bucket
     if (switched) hbs.extractForRound(k, degOf, v => alive(v) && selectable(v))
     else one.extract(k, degOf, alive, selectable)
   }
+
+  def nextKey(k: Int, degOf: Int => Int, alive: Int => Boolean): Int =
+    if (switched) hbs.nextKey(k, degOf, alive) else one.nextKey(k, degOf, alive)
 
   def ops: Long = (if (one != null) one.ops else 0L) + (if (hbs != null) hbs.opsCost else 0L)
 

@@ -118,6 +118,33 @@ final class Hbs(val maxKey: Int) extends Serializable {
     Hbs.dedupSorted(out.result())
   }
 
+  /** A lower bound on the smallest current key > `kRound` among alive
+    * vertices, called after `extractForRound(kRound)`: the first single-key
+    * slot in (kRound, kRound+8) holding a live latest copy, else the least
+    * ranged lower bound (`Int.MaxValue` when empty). That extraction pulled
+    * every key below kRound+8 into the single-key slots, and later inserts
+    * below it land there too, so no live key hides in a ranged bucket.
+    */
+  def nextKey(kRound: Int, currentKey: Int => Int, alive: Int => Boolean): Int = {
+    var key = kRound + 1
+    while (key < kRound + 8) {
+      val slot = ((key % 8) + 8) % 8
+      val arr = singles(slot)
+      var i = 0
+      while (i < singleSz(slot)) {
+        val e = arr(i); val v = unpackV(e)
+        opsCost += 1
+        if (unpackK(e) == key && alive(v) && currentKey(v) == key) return key
+        i += 1
+      }
+      key += 1
+    }
+    var min = Int.MaxValue
+    var b = 0
+    while (b < nRanged) { opsCost += 1; if (rangedMin(b) < min) min = rangedMin(b); b += 1 }
+    min
+  }
+
   def deepCopy(): Hbs = {
     val c = new Hbs(maxKey)
     var i = 0

@@ -1,5 +1,6 @@
 package repro.engine
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestGraphs}
 import repro.core._
 import repro.graph.LocalGraph
@@ -73,6 +74,55 @@ class EngineSpec extends SparkSpec {
       assert(m1.subrounds == m2.subrounds)
       assert(m1.work == m2.work)
     } finally h.unpersist()
+  }
+
+  test("active-set strategies skip empty rounds; ParK and PKC step every level") {
+    // kmax = 20 with four distinct coreness values, none of them 0.
+    val g = TestGraphs.random(200, 3000, 2)
+    val expected = SeqKCore.bz(g)
+    val kmax = expected.max
+    assert(kmax == 20 && expected.distinct.length == 4 && expected.min > 0)
+    val handle = ParallelKCore.prepareLocal(spark, g, 4)
+    try {
+      def rounds(cfg: KCoreConfig): Int = {
+        val (core, m) = ParallelKCore.run(handle, cfg)
+        assert(core.toSeq == expected.toSeq, s"${cfg.name} wrong coreness")
+        m.rounds
+      }
+      // Round 0 plus one round per distinct coreness value.
+      assert(rounds(KCoreConfig.ours) == 5)
+      assert(rounds(KCoreConfig.plain) == 5)
+      // Julienne's next-bucket stops at every 16-key window boundary.
+      assert(rounds(KCoreConfig.julienne) < kmax + 1)
+      assert(rounds(KCoreConfig.park) == kmax + 1)
+      assert(rounds(KCoreConfig.pkc) == kmax + 1)
+    } finally handle.unpersist()
+  }
+
+  test("subround jobs are described by k and subround; the caller's description is restored") {
+    val sc = spark.sparkContext
+    val described = "kcore Described k=\\d+ sub=(\\d+)".r
+    val subs = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).foreach {
+          case described(sub) => subs.add(sub.toInt)
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    sc.setJobDescription("caller's job")
+    try {
+      val m = check(TestGraphs.random(100, 500, 3), KCoreConfig.ours.copy(name = "Described"))
+      assert(sc.getLocalProperty("spark.job.description") == "caller's job")
+      // Listener events arrive asynchronously: wait a bounded time for them.
+      val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
+      while (subs.size < m.subrounds && System.nanoTime() < deadline) Thread.sleep(20)
+      assert(subs.size == m.subrounds && (0 until m.subrounds).forall(subs.contains(_)))
+    } finally {
+      sc.setJobDescription(null)
+      sc.removeSparkListener(listener)
+    }
   }
 
   // ---- sampling-specific behaviour ----------------------------------------

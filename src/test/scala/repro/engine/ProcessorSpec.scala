@@ -140,6 +140,23 @@ class ProcessorSpec extends AnyFunSuite {
     assert(out.sampledRate.toSeq == Seq(0.5, 0.25))
   }
 
+  test("a sampled vertex failing validation before the next live key caps nextKey") {
+    // 8-clique over two partitions: every degree is 7, so at k = 0 nothing
+    // peels and the strategy's next live key is 7.
+    val clique = TestGraphs.clique(8)
+    def mk(): PartitionState = PartitionState.init(Csr.buildLocal(clique, 2)(0), KCoreConfig.ours, 7)
+    val plain = SubroundProcessor.process(mk(), emptyIn(0, roundStart = true), KCoreConfig.ours)
+    assert(plain.nextKey == 7)
+    val st = mk()
+    st.mode(1) = 1; st.rateArr(1) = 0.5
+    st.sampledOwned = Array(1)
+    val out = SubroundProcessor.process(st, emptyIn(0, roundStart = true), KCoreConfig.ours)
+    assert(out.sampled.toSeq == Seq(1)) // still valid at k = 0
+    val sp = KCoreConfig.ours.sampling.get
+    assert(out.nextKey == sp.firstInvalidRound(7, 0, 0.5))
+    assert(out.nextKey == 1) // r·d = 0.7, so validation fails from k = 1
+  }
+
   test("senders consult the directory: sampled remote targets get hits, not decs") {
     // No local sampling — only the directory entry for remote 4, which every
     // subround's input carries (partitions keep no copy of it).

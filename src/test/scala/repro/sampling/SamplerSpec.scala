@@ -54,6 +54,26 @@ class SamplerSpec extends AnyFunSuite {
     assert(!sp.validate(d, k, (limit + 1).toInt, rate))
   }
 
+  test("firstInvalidRound: validate holds below it and fails from it on") {
+    val rng = new java.util.Random(11)
+    val fixed = Seq((1000, 0, 1.0), (1000, 0, 0.1), (600, 5, 1.0), (513, 0, 0.05), (0, 0, 0.5), (40, 9, 1.0))
+    val random = (0 until 400).map { _ =>
+      val d = rng.nextInt(20000)
+      val cnt = if (rng.nextBoolean()) 0 else rng.nextInt(300)
+      val rate = if (rng.nextInt(4) == 0) 1.0 else 1e-4 + rng.nextDouble() * (1 - 1e-4)
+      (d, cnt, rate)
+    }
+    for ((d, cnt, rate) <- fixed ++ random) {
+      val first = sp.firstInvalidRound(d, cnt, rate)
+      (0 until first).foreach { k =>
+        assert(sp.validate(d, k, cnt, rate), s"(d=$d, cnt=$cnt, rate=$rate) invalid at $k < $first")
+      }
+      (first to first + 20).foreach { k =>
+        assert(!sp.validate(d, k, cnt, rate), s"(d=$d, cnt=$cnt, rate=$rate) valid at $k >= $first")
+      }
+    }
+  }
+
   test("Chernoff simulation: degree estimate never misses a peel (Lem 4.1 regime)") {
     // Simulate t coin tosses at rate p with tp >= mu: the count must reach
     // tp/4 in (almost) every trial — mirrors the whp bound.

@@ -50,6 +50,57 @@ class BucketStrategySpec extends AnyFunSuite {
     test(s"$name: second seed") { stress(name, 99) }
   }
 
+  /** The engine's jump-driven round advance: after each extraction, peeling
+    * decrements some keys to values still above k, then k moves to
+    * max(k + 1, nextKey). Keys are sparse (60 vertices over 0..600), so the
+    * jumps are long. Returns the lengths of the jumps taken.
+    */
+  private def jumpStress(name: String, seed: Long): Seq[Int] = {
+    val rng = new java.util.Random(seed)
+    val n = 60
+    val maxKey = 600
+    val key = Array.fill(n)(rng.nextInt(maxKey + 1))
+    val dead = new Array[Boolean](n)
+    val s = mkStrategy(name, maxKey)
+    s.init(Array.range(0, n), key(_))
+    val jumps = Seq.newBuilder[Int]
+    var k = 0
+    while (k <= maxKey) {
+      val got = s.extract(k, key(_), v => !dead(v), _ => true).sorted.toSeq
+      assert(got == (0 until n).filter(v => !dead(v) && key(v) == k), s"$name round $k")
+      got.foreach(dead(_) = true)
+      (0 until 3).foreach { _ =>
+        val v = rng.nextInt(n)
+        if (!dead(v) && key(v) > k + 1) {
+          key(v) -= 1 + rng.nextInt(math.min(key(v) - k - 1, 40))
+          s.onDecrease(v, key(v))
+        }
+      }
+      val next = s.nextKey(k, key(_), v => !dead(v))
+      val trueNext = (0 until n).filter(v => !dead(v) && key(v) > k).map(key).minOption
+        .getOrElse(Int.MaxValue)
+      assert(next <= trueNext, s"$name round $k: nextKey $next above the next live key $trueNext")
+      if (name == "scanAll") assert(next == k + 1)
+      val to = math.max(k + 1, next)
+      jumps += to - k
+      k = to
+    }
+    assert(dead.forall(identity), name)
+    jumps.result()
+  }
+
+  names.foreach { name =>
+    test(s"$name: jump-driven stress against brute force") {
+      val jumps = Seq(7L, 99L, 2024L).flatMap(jumpStress(name, _))
+      // k crosses 0..600, so Julienne rebuilds its 16-key window many times,
+      // often by jumping to the window's end; the others jump past HBS's 8
+      // single-key slots.
+      if (name == "scanAll") assert(jumps.forall(_ == 1))
+      else assert(jumps.exists(_ >= 8), name)
+      if (name == "one" || name == "hier") assert(jumps.exists(_ >= 16), name)
+    }
+  }
+
   names.foreach { name =>
     test(s"$name: unselectable vertices are retained, not extracted") {
       val key = Array(2, 2, 2)
